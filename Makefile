@@ -58,6 +58,7 @@ bench:
 # without paying for real measurements (CI's bench-smoke job).
 bench-smoke:
 	go test -run=NONE -bench=Table6 -benchtime=1x .
+	go test -run=NONE -bench=ReachableSetSize -benchtime=1x ./internal/label
 
 # Diff two drbench -json records and fail on a regression of the
 # deterministic wire-volume metrics (messages, bytes_remote). Defaults

@@ -50,11 +50,13 @@ type bfsScratch struct {
 	queue []graph.VertexID
 }
 
-// NewBudgeted assembles a budgeted index from the capped Index, the
-// graph it covers, and the per-vertex completeness flags produced by
-// the builder. The graph is retained for fallback queries.
-func NewBudgeted(x *Index, g *graph.Digraph, budget int, inFull, outFull []bool) *Budgeted {
-	b := &Budgeted{x: x, g: g, budget: budget, inFull: inFull, outFull: outFull}
+// NewBudgeted assembles a budgeted index from the capped label lists,
+// the graph they cover, and the per-vertex completeness flags produced
+// by the builder. The graph is retained for fallback queries. The
+// lists are frozen without backward in-labels: capped in-labels would
+// make them incomplete, and set sizes are counted by BFS instead.
+func NewBudgeted(l *Lists, g *graph.Digraph, budget int, inFull, outFull []bool) *Budgeted {
+	b := &Budgeted{x: l.freeze(), g: g, budget: budget, inFull: inFull, outFull: outFull}
 	b.scratch.New = func() any {
 		return &bfsScratch{mark: make([]int32, g.NumVertices())}
 	}

@@ -76,7 +76,9 @@ func FromLists(ord *order.Ordering, in, out [][]order.Rank) *Index {
 // lists the vertices w with rank-r vertex ∈ L_in(w) (i.e. L_in^⁻ of
 // the vertex ranked r), and likewise backOut for out-labels
 // (Definition 4). Iterating ranks in increasing order keeps each
-// forward list sorted without a final sort.
+// forward list sorted without a final sort. backIn is not retained:
+// the index re-derives its backward in-labels from the forward lists,
+// which also sorts each of them by vertex ID.
 func FromBackward(ord *order.Ordering, backIn, backOut [][]graph.VertexID) *Index {
 	n := ord.N()
 	x := &Index{
@@ -118,5 +120,6 @@ func FromBackward(ord *order.Ordering, backIn, backOut [][]graph.VertexID) *Inde
 			outCur[w]++
 		}
 	}
+	x.link()
 	return x
 }

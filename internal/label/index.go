@@ -13,6 +13,7 @@ package label
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -28,6 +29,46 @@ type Index struct {
 	inLab  []order.Rank
 	outOff []int64
 	outLab []order.Rank
+	// backOff and backIn hold the backward in-labels of Definition 4,
+	// derived by link: backIn[backOff[h]:backOff[h+1]] lists, in
+	// ascending ID order, every vertex t with h ∈ L_in(t). They are nil
+	// on an index frozen without linking — the capped index inside a
+	// Budgeted, whose lists would be incomplete.
+	backOff []int32
+	backIn  []graph.VertexID
+}
+
+// link derives the backward in-labels from L_in with one counting
+// pass: count per rank, prefix-sum, then place every entry. Visiting
+// vertices in ID order leaves each backward list ascending. The table
+// covers ranks [0, n) plus any larger rank a Builder was handed (the
+// kernel tests feed arbitrary ranks; Read rejects them).
+func (x *Index) link() {
+	if len(x.inLab) > math.MaxInt32 {
+		panic(fmt.Sprintf("label: %d in-label entries overflow the backward offsets", len(x.inLab)))
+	}
+	hubs := x.n
+	for _, r := range x.inLab {
+		hubs = max(hubs, int(r)+1)
+	}
+	off := make([]int32, hubs+1)
+	for _, r := range x.inLab {
+		off[r+1]++
+	}
+	for h := 0; h < hubs; h++ {
+		off[h+1] += off[h]
+	}
+	back := make([]graph.VertexID, len(x.inLab))
+	for t := 0; t < x.n; t++ {
+		for _, r := range x.InLabels(graph.VertexID(t)) {
+			back[off[r]] = graph.VertexID(t)
+			off[r]++
+		}
+	}
+	// Placement advanced off[h] to the end of list h; shift back.
+	copy(off[1:], off[:hubs])
+	off[0] = 0
+	x.backOff, x.backIn = off, back
 }
 
 // NumVertices returns the number of vertices the index covers.
@@ -198,7 +239,8 @@ func (x *Index) Entries() int64 {
 
 // SizeBytes returns the byte footprint of the index payload: 4 bytes
 // per label entry plus the two offset arrays. This matches how the
-// paper reports "Index Size" in Table VI.
+// paper reports "Index Size" in Table VI. The backward in-labels are
+// derived at load time and never serialized, so they are not counted.
 func (x *Index) SizeBytes() int64 {
 	return 4*x.Entries() + 8*int64(len(x.inOff)+len(x.outOff))
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/order"
 )
@@ -77,7 +78,9 @@ func Read(r io.Reader) (*Index, error) {
 	if magic != indexMagic {
 		return nil, errors.New("label: not an index file (bad magic)")
 	}
-	if n64 > 1<<31 || nIn > 1<<40 || nOut > 1<<40 {
+	// In-label entries are capped by the int32 backward offsets link
+	// derives after validation.
+	if n64 > 1<<31 || nIn > math.MaxInt32 || nOut > 1<<40 {
 		return nil, fmt.Errorf("label: implausible index header n=%d", n64)
 	}
 	n := int(n64)
@@ -130,6 +133,7 @@ func Read(r io.Reader) (*Index, error) {
 		}
 	}
 	x.ord = order.FromRanks(ordRanks)
+	x.link()
 	return x, nil
 }
 

@@ -74,8 +74,17 @@ func (l *Lists) Reachable(s, t graph.VertexID) bool {
 // copied, so the Lists may be mutated or dropped afterwards; the
 // frozen Index is immutable from here on (which is what lets the
 // serving layer cache query answers without any invalidation — see
-// DESIGN.md §10).
+// DESIGN.md §10). Freeze also derives the backward in-labels that
+// ReachableSetSize walks.
 func (l *Lists) Freeze() *Index {
+	x := l.freeze()
+	x.link()
+	return x
+}
+
+// freeze packs the lists into the flat layout without deriving the
+// backward in-labels.
+func (l *Lists) freeze() *Index {
 	x := &Index{
 		n:      l.n,
 		ord:    l.ord,

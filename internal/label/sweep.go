@@ -6,22 +6,33 @@ import (
 	"repro/internal/graph"
 )
 
-// One-source sweeps: ReachableFrom and ReachableSetSize amortize the
-// out-label load the way ReachableBatch amortizes sorting. A pairwise
-// loop pays O(|L_out(s)| + |L_in(t)|) per target; the sweep marks
-// L_out(s)'s ranks into an epoch-stamped scratch table once and then
-// answers each target with a single scan of L_in(t) — the out side is
-// read exactly once no matter how many targets follow.
+// One-source sweeps: ReachableFrom amortizes the out-label load the
+// way ReachableBatch amortizes sorting. A pairwise loop pays
+// O(|L_out(s)| + |L_in(t)|) per target; the sweep marks L_out(s)'s
+// ranks into an epoch-stamped scratch table once and then answers each
+// target with a single scan of L_in(t) — the out side is read exactly
+// once no matter how many targets follow.
+//
+// ReachableSetSize never looks at targets s does not reach. It walks
+// the backward in-label L_in⁻(h) of every hub h ∈ L_out(s) and counts
+// each t once, under the first hub of L_out(s) ∩ L_in(t), for
+// O(|L_out(s)| + Σ_h |L_in⁻(h)|) — output-sensitive, and never more
+// entries than a scan of every in-label. The backward lists cost
+// 4(n+1) + 4·|L_in| bytes per complete index. They are derived from
+// L_in whenever an index is frozen or read, so they are not part of
+// the serialized payload or of SizeBytes (the paper's Table VI
+// figure). Budgeted indexes omit them and count by BFS.
 
-// sweepScratch is the rank-mark table of one sweep, epoch-stamped so
-// pool reuse costs no clearing: rank r is marked iff mark[r] == epoch.
+// sweepScratch is the mark table of one sweep, indexed by rank in
+// ReachableFrom and by vertex in ReachableWeight, epoch-stamped so
+// pool reuse costs no clearing: slot i is marked iff mark[i] == epoch.
 type sweepScratch struct {
 	mark  []int32
 	epoch int32
 }
 
 // sweepPool recycles scratch tables across sweeps and goroutines. The
-// tables are sized to the largest rank space seen; a sweep over a
+// tables are sized to the largest index seen; a sweep over a
 // bigger index allocates afresh and the old table is dropped.
 var sweepPool sync.Pool
 
@@ -76,21 +87,41 @@ func (x *Index) ReachableFrom(s graph.VertexID, targets []graph.VertexID) []bool
 	return res
 }
 
-// ReachableSetSize returns |{t : q(s, t)}| over the whole ID space —
-// the one-source sweep with counting instead of materialization. The
-// answer equals the number of true bits ReachableFrom(s, allVertices)
-// would return.
+// ReachableSetSize returns |{t : q(s, t)}| over the whole ID space:
+// the number of true bits ReachableFrom(s, allVertices) would return.
 func (x *Index) ReachableSetSize(s graph.VertexID) int {
+	return int(x.ReachableWeight(s, nil))
+}
+
+// ReachableWeight returns Σ weight[t] over every t with q(s, t); a nil
+// weight counts each such t once. It walks L_in⁻(h) for each hub
+// h ∈ L_out(s), marking t in a vertex-indexed scratch table the first
+// time a hub reaches it. It panics on an index frozen without backward
+// in-labels (the capped index inside a Budgeted).
+func (x *Index) ReachableWeight(s graph.VertexID, weight []int64) int64 {
+	if x.backOff == nil {
+		panic("label: ReachableWeight on an index without backward in-labels")
+	}
 	sc := getSweep(x.n)
 	defer sweepPool.Put(sc)
-	x.markOut(sc, s)
-	count := 0
-	for t := graph.VertexID(0); int(t) < x.n; t++ {
-		if x.hitIn(sc, t) {
-			count++
+	var total int64
+	for _, h := range x.OutLabels(s) {
+		if int(h) >= len(x.backOff)-1 {
+			break // no in-label carries h or any later hub
+		}
+		for _, t := range x.backIn[x.backOff[h]:x.backOff[h+1]] {
+			if sc.mark[t] == sc.epoch {
+				continue
+			}
+			sc.mark[t] = sc.epoch
+			if weight == nil {
+				total++
+			} else {
+				total += weight[t]
+			}
 		}
 	}
-	return count
+	return total
 }
 
 // Budgeted sweeps. Capped labels make a bare mark-table miss
@@ -160,18 +191,21 @@ func (b *Budgeted) ReachableFrom(s graph.VertexID, targets []graph.VertexID) []b
 	return res
 }
 
-// ReachableSetSize returns |{t : q(s, t)}|. One unpruned BFS from s is
-// exact regardless of which lists overflowed and costs O(n + m) total,
-// which beats a label sweep whose misses against overflowed in-labels
-// would each need their own fallback.
-func (b *Budgeted) ReachableSetSize(s graph.VertexID) int {
+// ReachableWeight returns Σ weight[t] over every t with q(s, t); a nil
+// weight counts each such t once. One unpruned BFS from s is exact
+// regardless of which lists overflowed and costs O(n + m) total, which
+// beats a label sweep whose misses against overflowed in-labels would
+// each need their own fallback. The BFS queue holds exactly the
+// reached vertices, so the sum reads only those.
+func (b *Budgeted) ReachableWeight(s graph.VertexID, weight []int64) int64 {
 	sc := b.descendants(s)
 	defer b.scratch.Put(sc)
-	count := 0
-	for v := range sc.mark {
-		if sc.mark[v] == sc.epoch {
-			count++
-		}
+	if weight == nil {
+		return int64(len(sc.queue))
 	}
-	return count
+	var total int64
+	for _, v := range sc.queue {
+		total += weight[v]
+	}
+	return total
 }

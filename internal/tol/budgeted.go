@@ -71,6 +71,5 @@ func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-c
 			}
 		}
 	}
-	x := label.FromLists(ord, in, out)
-	return label.NewBudgeted(x, g, budget, inFull, outFull), nil
+	return label.NewBudgeted(label.NewLists(ord, in, out), g, budget, inFull, outFull), nil
 }

@@ -130,29 +130,15 @@ func (x *Index) ReachableFrom(s VertexID, targets []VertexID) []bool {
 }
 
 // ReachableSetSize returns |{t : q(s, t)}| over the original vertex
-// space — for a condensed index each component hit is weighted by the
-// number of original vertices it contains.
+// space — for a condensed index each reached component is weighted by
+// the number of original vertices it contains.
 func (x *Index) ReachableSetSize(s VertexID) int {
-	if x.comp == nil {
-		if x.bidx != nil {
-			return x.bidx.ReachableSetSize(s)
-		}
-		return x.idx.ReachableSetSize(s)
+	var w []int64
+	if x.comp != nil {
+		s, w = VertexID(x.comp[s]), x.compSize
 	}
-	cs := VertexID(x.comp[s])
-	all := make([]VertexID, x.idx.NumVertices())
-	for i := range all {
-		all[i] = VertexID(i)
-	}
-	inner := x.idx.ReachableFrom
 	if x.bidx != nil {
-		inner = x.bidx.ReachableFrom
+		return int(x.bidx.ReachableWeight(s, w))
 	}
-	var total int64
-	for c, ok := range inner(cs, all) {
-		if ok {
-			total += x.compSize[c]
-		}
-	}
-	return int(total)
+	return int(x.idx.ReachableWeight(s, w))
 }

@@ -256,10 +256,15 @@ func TestUpdateQuerySoak(t *testing.T) {
 	}()
 
 	// --- readers: chaos-wrapped, recording (query, answer, epoch) ----
+	// perReader is each reader's minimum: readers keep querying until
+	// the churn is over — writers done and every acknowledged write
+	// published — so the samples span every epoch however fast the
+	// server answers.
 	var (
 		samplesMu sync.Mutex
 		samples   []soakSample
 		killed    atomic.Int64
+		churnOver atomic.Bool
 	)
 	client := srv.Client()
 	var rwg sync.WaitGroup
@@ -269,7 +274,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 			defer rwg.Done()
 			rrng := rand.New(rand.NewSource(int64(7001 + r)))
 			local := make([]soakSample, 0, perReader)
-			for q := 0; q < perReader; q++ {
+			for q := 0; q < perReader || !churnOver.Load(); q++ {
 				s := VertexID(rrng.Intn(soakN))
 				tt := VertexID(rrng.Intn(soakN))
 				switch roll := rrng.Intn(12); {
@@ -378,19 +383,20 @@ func TestUpdateQuerySoak(t *testing.T) {
 	}
 
 	writers.Wait()
+	// Drain the backlog so the final snapshot covers every ack, with
+	// the readers still running through the epochs it publishes.
+	lastSeq := log.LastSeq()
+	deadline := time.Now().Add(30 * time.Second)
+	for u.AppliedSeq() < lastSeq && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	churnOver.Store(true)
 	rwg.Wait()
 	if t.Failed() {
 		return
 	}
-
-	// Drain the backlog so the final snapshot covers every ack.
-	lastSeq := log.LastSeq()
-	deadline := time.Now().Add(30 * time.Second)
-	for u.AppliedSeq() < lastSeq {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog never drained: applied %d of %d", u.AppliedSeq(), lastSeq)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if u.AppliedSeq() < lastSeq {
+		t.Fatalf("backlog never drained: applied %d of %d", u.AppliedSeq(), lastSeq)
 	}
 
 	// --- the ledger is contiguous and every promise materialized -----
