@@ -3,6 +3,7 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -56,6 +57,91 @@ func TestLabelBudgetOption(t *testing.T) {
 		}
 		if _, err := idx.WriteTo(&bytes.Buffer{}); err == nil {
 			t.Fatal("budgeted index serialized without error")
+		}
+		if w := idx.BuildStats().Workers; w != 1 {
+			t.Fatalf("budget %d: BuildStats().Workers = %d, want 1 (serial TOL)", budget, w)
+		}
+	}
+}
+
+// TestLabelBudgetRefusesLabelWrite: the label layer itself must refuse
+// to serialize a budgeted index. The file format carries neither the
+// graph nor the completeness flags, so a capped index read back would
+// be taken as complete and its label misses trusted as "unreachable".
+func TestLabelBudgetRefusesLabelWrite(t *testing.T) {
+	g, err := GenerateGraph("social", 300, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(context.Background(), g, Options{LabelBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.LabelIndex().WriteTo(&bytes.Buffer{}); err == nil {
+		t.Fatal("budgeted label index serialized without error")
+	}
+}
+
+// TestLabelIndexReflexive pins the invariant the root API's SCC
+// mapping relies on: every label index answers q(v, v) true, so a
+// same-component pair mapped to (c, c) needs no special case. It holds
+// for every build method, plain and condensed, and for a budgeted
+// index whose own rank may be capped out of its lists. On a condensed
+// cyclic graph, ReachableBatch and ReachableFrom must then answer every
+// same-component pair true.
+func TestLabelIndexReflexive(t *testing.T) {
+	g, err := GenerateGraph("social", 120, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var variants []Options
+	for _, m := range []Method{MethodTOL, MethodDRLBasic, MethodDRL, MethodDRLBatch, MethodDRLShared} {
+		variants = append(variants, Options{Method: m, Workers: 3})
+	}
+	variants = append(variants, Options{LabelBudget: 1})
+	for _, opts := range variants {
+		for _, condense := range []bool{false, true} {
+			opts.CondenseSCC = condense
+			name := fmt.Sprintf("%s/budget%d/condense=%v", opts.method(), opts.LabelBudget, condense)
+			idx, err := Build(context.Background(), g, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			lab := idx.LabelIndex()
+			for v := VertexID(0); int(v) < lab.NumVertices(); v++ {
+				if !lab.Reachable(v, v) {
+					t.Fatalf("%s: label q(%d,%d) = false", name, v, v)
+				}
+			}
+			if !condense {
+				continue
+			}
+			members := make(map[VertexID][]VertexID)
+			for v := VertexID(0); int(v) < g.NumVertices(); v++ {
+				c := idx.vertex(v)
+				members[c] = append(members[c], v)
+			}
+			if len(members) == g.NumVertices() {
+				t.Fatalf("%s: graph has no cycle to condense", name)
+			}
+			for _, vs := range members {
+				var pairs []Pair
+				for _, s := range vs {
+					for i, ok := range idx.ReachableFrom(s, vs) {
+						if !ok {
+							t.Fatalf("%s: ReachableFrom(%d) missed same-component %d", name, s, vs[i])
+						}
+					}
+					for _, u := range vs {
+						pairs = append(pairs, Pair{S: s, T: u})
+					}
+				}
+				for i, ok := range idx.ReachableBatch(pairs) {
+					if !ok {
+						t.Fatalf("%s: batch q(%d,%d) = false in one component", name, pairs[i].S, pairs[i].T)
+					}
+				}
+			}
 		}
 	}
 }

@@ -191,21 +191,20 @@ func RunScale(p ScaleParams, progress func(string)) (*ScaleRecord, error) {
 		rec.Phases = append(rec.Phases, phase)
 		report(progress, "scale order: %.3fs", phase.MedianSeconds)
 
-		var b *label.Budgeted
+		var x *label.Index
 		phase, err = timed("label-budgeted", 1, func() error {
 			var err error
-			b, err = tol.BuildBudgeted(g, ord, p.Budget, nil)
+			x, err = tol.BuildBudgeted(g, ord, p.Budget, nil)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		rec.Phases = append(rec.Phases, phase)
-		x := b.Index()
 		rec.IndexEntries = x.Entries()
 		rec.IndexBytes = x.SizeBytes()
 		rec.MaxLabel = x.MaxLabelSize()
-		rec.OverflowedIn, rec.OverflowedOut = b.Overflowed()
+		rec.OverflowedIn, rec.OverflowedOut = x.Overflowed()
 		report(progress, "scale label-budgeted: %d entries, %d/%d overflowed, %.3fs",
 			rec.IndexEntries, rec.OverflowedIn, rec.OverflowedOut, phase.MedianSeconds)
 	}

@@ -6,12 +6,14 @@ import (
 	"repro/internal/graph"
 )
 
-// Budgeted is a reachability index whose per-vertex label lists are
-// capped at a fixed width (the FERRARI idea adapted to TOL labels):
-// when a graph's full 2-hop cover would not fit in memory, the builder
-// keeps at most `budget` ranks per vertex per direction and records,
-// per vertex and direction, whether the list is complete — i.e. the
-// builder never refused an addition the pruning rule asked for.
+// A budgeted index is an Index whose per-vertex label lists are capped
+// at a fixed width (the FERRARI idea adapted to TOL labels): when a
+// graph's full 2-hop cover would not fit in memory, the builder keeps
+// at most `limit` ranks per vertex per direction and records, per vertex
+// and direction, whether the list is complete — i.e. the builder never
+// refused an addition the pruning rule asked for. A complete index is
+// the degenerate case with no overflow, and carries no budget at all
+// (Index.b is nil).
 //
 // Query semantics rest on two facts:
 //
@@ -26,14 +28,13 @@ import (
 //     witness in the very list being tested. So a miss with
 //     outFull(s) ∧ inFull(t) is a sound "unreachable".
 //
-// Every other pair falls back to a guarded BFS over the retained
+// Every other miss is resolved by a guarded BFS over the retained
 // graph, pruned by whichever endpoint label is complete. The graph is
-// therefore part of the index: a Budgeted cannot be serialized and
-// served without it.
-type Budgeted struct {
-	x      *Index
-	g      *graph.Digraph
-	budget int
+// therefore part of a budgeted index: WriteTo refuses it, since the
+// file format carries neither the graph nor the completeness flags.
+type budget struct {
+	g     *graph.Digraph
+	limit int
 	// inFull[v] / outFull[v] report that L_in(v) / L_out(v) is the
 	// complete label set the uncapped build would have produced a
 	// superset-witness for (see above), not a truncation.
@@ -55,62 +56,73 @@ type bfsScratch struct {
 // by the builder. The graph is retained for fallback queries. The
 // lists are frozen without backward in-labels: capped in-labels would
 // make them incomplete, and set sizes are counted by BFS instead.
-func NewBudgeted(l *Lists, g *graph.Digraph, budget int, inFull, outFull []bool) *Budgeted {
-	b := &Budgeted{x: l.freeze(), g: g, budget: budget, inFull: inFull, outFull: outFull}
-	b.scratch.New = func() any {
+func NewBudgeted(l *Lists, g *graph.Digraph, limit int, inFull, outFull []bool) *Index {
+	x := l.freeze()
+	x.b = &budget{g: g, limit: limit, inFull: inFull, outFull: outFull}
+	x.b.scratch.New = func() any {
 		return &bfsScratch{mark: make([]int32, g.NumVertices())}
 	}
-	return b
+	return x
 }
 
-// Index returns the capped label index (entries are factual; lists may
-// be incomplete where the flags say so).
-func (b *Budgeted) Index() *Index { return b.x }
-
-// Budget returns the per-vertex per-direction label cap.
-func (b *Budgeted) Budget() int { return b.budget }
+// Budget returns the per-vertex per-direction label cap, or 0 for a
+// complete index.
+func (x *Index) Budget() int {
+	if x.b == nil {
+		return 0
+	}
+	return x.b.limit
+}
 
 // Overflowed returns how many vertices have an incomplete in-label and
 // out-label list respectively — the vertices whose queries may need
-// the BFS fallback.
-func (b *Budgeted) Overflowed() (in, out int) {
-	for v := range b.inFull {
-		if !b.inFull[v] {
+// the BFS fallback. A complete index has none.
+func (x *Index) Overflowed() (in, out int) {
+	if x.b == nil {
+		return 0, 0
+	}
+	for v := range x.b.inFull {
+		if !x.b.inFull[v] {
 			in++
 		}
-		if !b.outFull[v] {
+		if !x.b.outFull[v] {
 			out++
 		}
 	}
 	return in, out
 }
 
-// Reachable answers q(s, t). A label hit is always trusted; a miss is
-// trusted when both endpoint lists are complete; the residual cases
-// run a BFS pruned by whichever side's labels are complete.
-func (b *Budgeted) Reachable(s, t graph.VertexID) bool {
-	if s == t {
-		// A vertex's own rank may have been capped out of its lists,
-		// so reflexivity is answered before looking at them.
-		return true
-	}
-	if b.x.Reachable(s, t) {
-		return true
-	}
-	if b.outFull[s] && b.inFull[t] {
-		return false
-	}
-	return b.fallbackBFS(s, t)
+// miss settles q(s, t) after the labels failed to intersect: false on
+// a complete index, resolve on a budgeted one. It is small enough to
+// inline, so the complete-index miss costs one nil check.
+func (x *Index) miss(s, t graph.VertexID) bool {
+	return x.b != nil && x.resolve(s, t)
 }
 
-// ReachableBatch answers q(s, t) for every pair, in the callers'
-// order, identically to calling Reachable per pair.
-func (b *Budgeted) ReachableBatch(pairs []Pair) []bool {
-	res := make([]bool, len(pairs))
-	for i, p := range pairs {
-		res[i] = b.Reachable(p.S, p.T)
+// resolve answers a label miss on a budgeted index. Reflexivity comes
+// first, since a vertex's own rank may have been capped out of its
+// lists; a miss between two complete lists is trusted; the residual
+// cases run a BFS pruned by whichever side's labels are complete.
+func (x *Index) resolve(s, t graph.VertexID) bool {
+	if s == t {
+		return true
 	}
-	return res
+	if x.b.outFull[s] && x.b.inFull[t] {
+		return false
+	}
+	return x.fallbackBFS(s, t)
+}
+
+// getBFS returns pooled BFS scratch with a fresh epoch. Callers must
+// return it with x.b.scratch.Put when done.
+func (x *Index) getBFS() *bfsScratch {
+	sc := x.b.scratch.Get().(*bfsScratch)
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: marks are stale, reset once
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	return sc
 }
 
 // fallbackBFS resolves a label miss where at least one endpoint list
@@ -123,14 +135,10 @@ func (b *Budgeted) ReachableBatch(pairs []Pair) []bool {
 //   - s's out-label is complete: the mirror image, backward from t.
 //   - both endpoints overflowed: a plain forward BFS (rare by
 //     construction — only the widest vertices overflow).
-func (b *Budgeted) fallbackBFS(s, t graph.VertexID) bool {
-	sc := b.scratch.Get().(*bfsScratch)
+func (x *Index) fallbackBFS(s, t graph.VertexID) bool {
+	b := x.b
+	sc := x.getBFS()
 	defer b.scratch.Put(sc)
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: marks are stale, reset once
-		clear(sc.mark)
-		sc.epoch = 1
-	}
 
 	backward := b.outFull[s] && !b.inFull[t]
 	start, goal := s, t
@@ -146,7 +154,7 @@ func (b *Budgeted) fallbackBFS(s, t graph.VertexID) bool {
 			// u's out-label is the complete story of what u reaches
 			// among label targets; t's in-label is complete too, so
 			// this one intersection decides u's whole subtree.
-			return intersects(b.x.OutLabels(u), b.x.InLabels(t)), true
+			return intersects(x.OutLabels(u), x.InLabels(t)), true
 		}
 	case backward:
 		start, goal = t, s
@@ -155,7 +163,7 @@ func (b *Budgeted) fallbackBFS(s, t graph.VertexID) bool {
 			if !b.inFull[u] {
 				return false, false
 			}
-			return intersects(b.x.OutLabels(s), b.x.InLabels(u)), true
+			return intersects(x.OutLabels(s), x.InLabels(u)), true
 		}
 	default:
 		next = b.g.OutNeighbors
@@ -182,4 +190,23 @@ func (b *Budgeted) fallbackBFS(s, t graph.VertexID) bool {
 		}
 	}
 	return false
+}
+
+// descendants runs one unpruned forward BFS from s over the retained
+// graph, returning the scratch whose current epoch marks s and every
+// vertex it reaches; its queue holds exactly those vertices. The
+// caller must Put the scratch back.
+func (x *Index) descendants(s graph.VertexID) *bfsScratch {
+	sc := x.getBFS()
+	sc.mark[s] = sc.epoch
+	sc.queue = append(sc.queue[:0], s)
+	for head := 0; head < len(sc.queue); head++ {
+		for _, u := range x.b.g.OutNeighbors(sc.queue[head]) {
+			if sc.mark[u] != sc.epoch {
+				sc.mark[u] = sc.epoch
+				sc.queue = append(sc.queue, u)
+			}
+		}
+	}
+	return sc
 }

@@ -105,7 +105,7 @@ func sharesRank(a, b []order.Rank) bool {
 
 // TestBackwardLinks: every construction path of a complete index —
 // Freeze, FromBackward, Read — links the backward in-labels, while a
-// Budgeted's capped index carries none.
+// budgeted index carries none.
 func TestBackwardLinks(t *testing.T) {
 	x := randomIndex(t, 30, 4)
 	checkBackward(t, x)
@@ -124,7 +124,7 @@ func TestBackwardLinks(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}})
 	l := NewLists(order.FromRanks([]order.Rank{0, 1}), [][]order.Rank{{0}, {0}}, [][]order.Rank{{0}, {1}})
 	b := NewBudgeted(l, g, 1, []bool{true, true}, []bool{true, true})
-	if b.Index().backOff != nil || b.Index().backIn != nil {
+	if b.backOff != nil || b.backIn != nil {
 		t.Fatal("budgeted index holds backward in-labels")
 	}
 	if got := b.ReachableWeight(0, nil); got != 2 {

@@ -21,10 +21,16 @@ import (
 )
 
 // Index is an immutable reachability index: an in-label and an
-// out-label set per vertex, each a rank-sorted slice.
+// out-label set per vertex, each a rank-sorted slice. An index built
+// under a label budget (NewBudgeted) also carries the cap, the
+// per-vertex completeness flags and the graph its label misses fall
+// back to; b is nil for a complete index.
 type Index struct {
-	n      int
-	ord    *order.Ordering
+	n   int
+	ord *order.Ordering
+	// b sits beside the offset and label headers Reachable reads, so a
+	// complete index's miss check touches no extra cache line.
+	b      *budget
 	inOff  []int64
 	inLab  []order.Rank
 	outOff []int64
@@ -32,8 +38,8 @@ type Index struct {
 	// backOff and backIn hold the backward in-labels of Definition 4,
 	// derived by link: backIn[backOff[h]:backOff[h+1]] lists, in
 	// ascending ID order, every vertex t with h ∈ L_in(t). They are nil
-	// on an index frozen without linking — the capped index inside a
-	// Budgeted, whose lists would be incomplete.
+	// on a budgeted index, whose capped lists would make them
+	// incomplete.
 	backOff []int32
 	backIn  []graph.VertexID
 }
@@ -89,7 +95,8 @@ func (x *Index) OutLabels(v graph.VertexID) []order.Rank {
 
 // Reachable answers the reachability query q(s, t) from the index
 // alone: true iff L_out(s) ∩ L_in(t) ≠ ∅ (Definition 3). The two
-// sorted label lists are merged, never the graph touched. Both lists
+// sorted label lists are merged, never the graph touched — except
+// that a budgeted index settles a miss through resolve. Both lists
 // live in the flat arrays, so the merge walks two dense ranges via
 // offset cursors with no per-vertex pointer chasing; the loop lives
 // in this method body because gc does not inline functions with
@@ -100,7 +107,7 @@ func (x *Index) Reachable(s, t graph.VertexID) bool {
 	i, ae := x.outOff[s], x.outOff[s+1]
 	j, be := x.inOff[t], x.inOff[t+1]
 	if la, lb := ae-i, be-j; la > gallopRatio*lb || lb > gallopRatio*la {
-		return intersects(x.outLab[i:ae], x.inLab[j:be])
+		return intersects(x.outLab[i:ae], x.inLab[j:be]) || x.miss(s, t)
 	}
 	a, b := x.outLab, x.inLab
 	for i < ae && j < be {
@@ -114,7 +121,7 @@ func (x *Index) Reachable(s, t graph.VertexID) bool {
 			j++
 		}
 	}
-	return false
+	return x.miss(s, t)
 }
 
 // gallopRatio is the length skew beyond which the merge switches from
@@ -225,7 +232,7 @@ func (x *Index) ReachableBatch(pairs []Pair) []bool {
 			curS = p.S
 			out = x.OutLabels(p.S)
 		}
-		prevAns = intersects(out, x.InLabels(p.T))
+		prevAns = intersects(out, x.InLabels(p.T)) || x.miss(p.S, p.T)
 		prev = p
 		res[k] = prevAns
 	}

@@ -20,8 +20,12 @@ import (
 const indexMagic = uint64(0x44524c494e444558) // "DRLINDEX"
 
 // WriteTo serializes the index. It returns the number of bytes
-// written.
+// written. A budgeted index is refused: the format carries neither its
+// graph nor its completeness flags, so Read would take it as complete.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
+	if x.b != nil {
+		return 0, errors.New("label: a budgeted index retains its graph and cannot be serialized")
+	}
 	bw := bufio.NewWriter(w)
 	var written int64
 	put := func(data any, size int64) error {

@@ -21,7 +21,17 @@ import (
 // 4(n+1) + 4·|L_in| bytes per complete index. They are derived from
 // L_in whenever an index is frozen or read, so they are not part of
 // the serialized payload or of SizeBytes (the paper's Table VI
-// figure). Budgeted indexes omit them and count by BFS.
+// figure). A budgeted index omits them and counts by BFS.
+//
+// On a budgeted index a bare mark-table miss is inconclusive, so
+// ReachableFrom splits by the completeness of L_out(s):
+//
+//   - L_out(s) complete: a label hit is a sound true, and each miss
+//     goes through resolve — a sound false against a complete
+//     L_in(t), the pruned BFS otherwise.
+//   - L_out(s) overflowed: every miss would need a fallback, so the
+//     whole sweep collapses into one unpruned forward BFS from s —
+//     exact by construction and cheaper than per-target fallbacks.
 
 // sweepScratch is the mark table of one sweep, indexed by rank in
 // ReachableFrom and by vertex in ReachableWeight, epoch-stamped so
@@ -78,11 +88,19 @@ func (x *Index) ReachableFrom(s graph.VertexID, targets []graph.VertexID) []bool
 	if len(targets) == 0 {
 		return res
 	}
+	if x.b != nil && !x.b.outFull[s] {
+		sc := x.descendants(s)
+		defer x.b.scratch.Put(sc)
+		for i, t := range targets {
+			res[i] = sc.mark[t] == sc.epoch
+		}
+		return res
+	}
 	sc := getSweep(x.n)
 	defer sweepPool.Put(sc)
 	x.markOut(sc, s)
 	for i, t := range targets {
-		res[i] = x.hitIn(sc, t)
+		res[i] = x.hitIn(sc, t) || x.miss(s, t)
 	}
 	return res
 }
@@ -96,11 +114,21 @@ func (x *Index) ReachableSetSize(s graph.VertexID) int {
 // ReachableWeight returns Σ weight[t] over every t with q(s, t); a nil
 // weight counts each such t once. It walks L_in⁻(h) for each hub
 // h ∈ L_out(s), marking t in a vertex-indexed scratch table the first
-// time a hub reaches it. It panics on an index frozen without backward
-// in-labels (the capped index inside a Budgeted).
+// time a hub reaches it. A budgeted index counts by one unpruned BFS
+// from s instead: exact regardless of which lists overflowed, O(n + m)
+// total, and its queue holds exactly the reached vertices.
 func (x *Index) ReachableWeight(s graph.VertexID, weight []int64) int64 {
-	if x.backOff == nil {
-		panic("label: ReachableWeight on an index without backward in-labels")
+	if x.b != nil {
+		sc := x.descendants(s)
+		defer x.b.scratch.Put(sc)
+		if weight == nil {
+			return int64(len(sc.queue))
+		}
+		var total int64
+		for _, v := range sc.queue {
+			total += weight[v]
+		}
+		return total
 	}
 	sc := getSweep(x.n)
 	defer sweepPool.Put(sc)
@@ -120,92 +148,6 @@ func (x *Index) ReachableWeight(s graph.VertexID, weight []int64) int64 {
 				total += weight[t]
 			}
 		}
-	}
-	return total
-}
-
-// Budgeted sweeps. Capped labels make a bare mark-table miss
-// inconclusive, so the sweep splits by the completeness of L_out(s):
-//
-//   - L_out(s) complete: a label hit is a sound true, a miss against a
-//     complete L_in(t) is a sound false, and only targets whose
-//     in-label overflowed fall back to the pruned BFS.
-//   - L_out(s) overflowed: every miss would need a fallback, so the
-//     whole sweep collapses into one unpruned forward BFS from s —
-//     exact by construction and cheaper than per-target fallbacks.
-
-// descendants runs one unpruned forward BFS from s over the retained
-// graph, returning the scratch whose current epoch marks s and every
-// vertex it reaches. The caller must Put the scratch back.
-func (b *Budgeted) descendants(s graph.VertexID) *bfsScratch {
-	sc := b.scratch.Get().(*bfsScratch)
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: marks are stale, reset once
-		clear(sc.mark)
-		sc.epoch = 1
-	}
-	sc.mark[s] = sc.epoch
-	sc.queue = append(sc.queue[:0], s)
-	for head := 0; head < len(sc.queue); head++ {
-		for _, u := range b.g.OutNeighbors(sc.queue[head]) {
-			if sc.mark[u] != sc.epoch {
-				sc.mark[u] = sc.epoch
-				sc.queue = append(sc.queue, u)
-			}
-		}
-	}
-	return sc
-}
-
-// ReachableFrom answers q(s, t) for every target, identically to
-// calling Reachable(s, t) per target.
-func (b *Budgeted) ReachableFrom(s graph.VertexID, targets []graph.VertexID) []bool {
-	res := make([]bool, len(targets))
-	if len(targets) == 0 {
-		return res
-	}
-	if !b.outFull[s] {
-		sc := b.descendants(s)
-		defer b.scratch.Put(sc)
-		for i, t := range targets {
-			res[i] = sc.mark[t] == sc.epoch
-		}
-		return res
-	}
-	sc := getSweep(b.x.n)
-	defer sweepPool.Put(sc)
-	b.x.markOut(sc, s)
-	for i, t := range targets {
-		switch {
-		case t == s:
-			// Reflexivity before labels: s's own rank may be capped out.
-			res[i] = true
-		case b.x.hitIn(sc, t):
-			res[i] = true
-		case b.inFull[t]:
-			res[i] = false
-		default:
-			res[i] = b.fallbackBFS(s, t)
-		}
-	}
-	return res
-}
-
-// ReachableWeight returns Σ weight[t] over every t with q(s, t); a nil
-// weight counts each such t once. One unpruned BFS from s is exact
-// regardless of which lists overflowed and costs O(n + m) total, which
-// beats a label sweep whose misses against overflowed in-labels would
-// each need their own fallback. The BFS queue holds exactly the
-// reached vertices, so the sum reads only those.
-func (b *Budgeted) ReachableWeight(s graph.VertexID, weight []int64) int64 {
-	sc := b.descendants(s)
-	defer b.scratch.Put(sc)
-	if weight == nil {
-		return int64(len(sc.queue))
-	}
-	var total int64
-	for _, v := range sc.queue {
-		total += weight[v]
 	}
 	return total
 }

@@ -17,11 +17,11 @@ import (
 // entries (they remain factual reachability witnesses), and later
 // rounds keep running their pruning tests against the capped lists,
 // which can only add entries full TOL would have pruned — also
-// factual. See label.Budgeted for why this keeps both query
-// directions sound.
+// factual. See the budget type in package label for why this keeps
+// both query directions sound.
 //
 // The returned index retains g for fallback queries.
-func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-chan struct{}) (*label.Budgeted, error) {
+func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-chan struct{}) (*label.Index, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("tol: label budget %d must be at least 1", budget)
 	}

@@ -50,7 +50,7 @@ func TestBudgetedMatchesBFSOracle(t *testing.T) {
 				if budget >= n {
 					// An effectively unbounded budget must reproduce the
 					// full TOL index exactly and overflow nowhere.
-					if d := full.Diff(b.Index()); d != "" {
+					if d := full.Diff(b); d != "" {
 						t.Fatalf("unbounded budget diverged from TOL: %s", d)
 					}
 					in, out := b.Overflowed()
@@ -58,7 +58,7 @@ func TestBudgetedMatchesBFSOracle(t *testing.T) {
 						t.Fatalf("unbounded budget overflowed: in=%d out=%d", in, out)
 					}
 				}
-				if got := b.Index().MaxLabelSize(); got > budget {
+				if got := b.MaxLabelSize(); got > budget {
 					t.Fatalf("MaxLabelSize = %d exceeds budget %d", got, budget)
 				}
 				for s := graph.VertexID(0); int(s) < n; s++ {

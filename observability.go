@@ -12,7 +12,7 @@ import (
 // the DRL builders ("drl_*"), and the query server ("reachlab_*").
 // The zero-dependency implementation lives in internal/obs; this alias
 // is the public handle so callers can plumb one registry through
-// Options, ClusterOptions, and NewQueryHandlerObs, then expose it with
+// Options, ClusterOptions, and ServeOptions, then expose it with
 // MountObservability.
 type MetricsRegistry = obs.Registry
 
@@ -20,7 +20,7 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 
 // DefaultMetrics returns the process-wide default registry, used by
-// NewQueryHandler and the cmd/ binaries.
+// the cmd/ binaries.
 func DefaultMetrics() *MetricsRegistry { return obs.Default }
 
 // MountObservability registers the observability endpoints on mux:

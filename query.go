@@ -98,47 +98,19 @@ func (x *Index) WitnessPath(s, t VertexID) ([]VertexID, error) {
 // calling Reachable per target, but loading L_out(s) once for the
 // whole sweep (see label.Index.ReachableFrom).
 func (x *Index) ReachableFrom(s VertexID, targets []VertexID) []bool {
-	if x.comp == nil {
-		if x.bidx != nil {
-			return x.bidx.ReachableFrom(s, targets)
+	if x.comp != nil {
+		mapped := make([]VertexID, len(targets))
+		for i, t := range targets {
+			mapped[i] = x.vertex(t)
 		}
-		return x.idx.ReachableFrom(s, targets)
+		targets = mapped
 	}
-	// Condensed index: map endpoints through the component table;
-	// same-component targets are reachable without consulting labels.
-	cs := VertexID(x.comp[s])
-	res := make([]bool, len(targets))
-	sub := make([]VertexID, 0, len(targets))
-	subPos := make([]int, 0, len(targets))
-	for i, t := range targets {
-		ct := VertexID(x.comp[t])
-		if ct == cs {
-			res[i] = true
-			continue
-		}
-		sub = append(sub, ct)
-		subPos = append(subPos, i)
-	}
-	inner := x.idx.ReachableFrom
-	if x.bidx != nil {
-		inner = x.bidx.ReachableFrom
-	}
-	for k, ans := range inner(cs, sub) {
-		res[subPos[k]] = ans
-	}
-	return res
+	return x.idx.ReachableFrom(x.vertex(s), targets)
 }
 
 // ReachableSetSize returns |{t : q(s, t)}| over the original vertex
 // space — for a condensed index each reached component is weighted by
 // the number of original vertices it contains.
 func (x *Index) ReachableSetSize(s VertexID) int {
-	var w []int64
-	if x.comp != nil {
-		s, w = VertexID(x.comp[s]), x.compSize
-	}
-	if x.bidx != nil {
-		return int(x.bidx.ReachableWeight(s, w))
-	}
-	return int(x.idx.ReachableWeight(s, w))
+	return int(x.idx.ReachableWeight(x.vertex(s), x.compSize))
 }

@@ -84,10 +84,13 @@ type Options struct {
 }
 
 func (o Options) method() Method {
-	if o.Method == "" {
-		return MethodDRLBatch
+	switch {
+	case o.Method != "":
+		return o.Method
+	case o.LabelBudget > 0:
+		return MethodTOL
 	}
-	return o.Method
+	return MethodDRLBatch
 }
 
 func (o Options) workers() int {
@@ -143,11 +146,10 @@ type BuildStats struct {
 // exception — it retains the graph for fallback queries and cannot be
 // serialized.
 type Index struct {
-	idx      *label.Index
-	bidx     *label.Budgeted // non-nil for memory-bounded builds; retains the graph
-	comp     []int32         // optional SCC-condensation mapping
-	compSize []int64         // per-component vertex counts (condensed only)
-	g        *graph.Digraph  // original graph, when available (witness paths)
+	idx      *label.Index   // budgeted builds carry their cap and graph inside it
+	comp     []int32        // optional SCC-condensation mapping
+	compSize []int64        // per-component vertex counts (condensed only)
+	g        *graph.Digraph // original graph, when available (witness paths)
 	stats    BuildStats
 }
 
@@ -184,56 +186,38 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		cancel = ctx.Done()
 	}
 
-	if opts.LabelBudget > 0 {
-		if opts.Method != "" && method != MethodTOL {
-			return nil, fmt.Errorf("reachlab: LabelBudget requires MethodTOL, not %q", method)
-		}
-		bidx, err := tol.BuildBudgeted(gd, ord, opts.LabelBudget, cancel)
-		if err != nil {
-			if errors.Is(err, tol.ErrCanceled) && ctx != nil && ctx.Err() != nil {
-				return nil, fmt.Errorf("reachlab: build canceled: %w", ctx.Err())
-			}
-			return nil, fmt.Errorf("reachlab: building budgeted index: %w", err)
-		}
-		x := &Index{
-			idx:  bidx.Index(),
-			bidx: bidx,
-			comp: comp,
-			g:    g.d,
-			stats: BuildStats{
-				Method:   MethodTOL,
-				Workers:  1,
-				WallTime: time.Since(start),
-			},
-		}
-		if comp != nil {
-			x.compSize = compSizes(comp, x.idx.NumVertices())
-		}
-		return x, nil
+	if opts.LabelBudget > 0 && method != MethodTOL {
+		return nil, fmt.Errorf("reachlab: LabelBudget requires MethodTOL, not %q", method)
 	}
 
 	var (
 		idx *label.Index
 		met pregel.Metrics
 	)
+	workers := opts.workers()
 	switch method {
 	case MethodTOL:
-		idx, err = tol.BuildCancelable(gd, ord, cancel)
+		workers = 1 // serial by construction; Options.Workers does not apply
+		if opts.LabelBudget > 0 {
+			idx, err = tol.BuildBudgeted(gd, ord, opts.LabelBudget, cancel)
+		} else {
+			idx, err = tol.BuildCancelable(gd, ord, cancel)
+		}
 	case MethodDRLShared:
 		idx, err = drl.BuildBatch(gd, ord, opts.batchParams(), drl.Options{
-			Workers: opts.workers(), Cancel: cancel, Obs: opts.Obs,
+			Workers: workers, Cancel: cancel, Obs: opts.Obs,
 		})
 	case MethodDRL:
 		idx, met, err = drl.BuildDistributed(gd, ord, drl.DistOptions{
-			Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
+			Workers: workers, Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
 		})
 	case MethodDRLBasic:
 		idx, met, err = drl.BuildDistributedBasic(gd, ord, drl.DistOptions{
-			Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
+			Workers: workers, Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
 		})
 	case MethodDRLBatch:
 		idx, met, err = drl.BuildDistributedBatch(gd, ord, opts.batchParams(), drl.DistOptions{
-			Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
+			Workers: workers, Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
 		})
 	default:
 		return nil, fmt.Errorf("reachlab: unknown method %q", method)
@@ -252,7 +236,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		g:    g.d,
 		stats: BuildStats{
 			Method:        method,
-			Workers:       opts.workers(),
+			Workers:       workers,
 			WallTime:      time.Since(start),
 			Compute:       met.ComputeTime,
 			Communication: met.TotalComm(),
@@ -272,17 +256,24 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	return x, nil
 }
 
+// vertex maps an original vertex to the vertex the labels index: its
+// SCC component on a condensed index, itself otherwise. Every label
+// index answers q(c, c) true, so mapping both endpoints of a
+// same-component pair needs no special case.
+func (x *Index) vertex(v VertexID) VertexID {
+	if x.comp != nil {
+		return VertexID(x.comp[v])
+	}
+	return v
+}
+
 // Reachable answers q(s, t) from the index alone: true iff there is a
 // path from s to t in the indexed graph.
 func (x *Index) Reachable(s, t VertexID) bool {
+	// One comp check for both endpoints, rather than two vertex calls:
+	// this is the single-lookup hot path.
 	if x.comp != nil {
 		s, t = VertexID(x.comp[s]), VertexID(x.comp[t])
-		if s == t {
-			return true
-		}
-	}
-	if x.bidx != nil {
-		return x.bidx.Reachable(s, t)
 	}
 	return x.idx.Reachable(s, t)
 }
@@ -296,34 +287,14 @@ type Pair = label.Pair
 // source reuse its out-label range — the cheap locality win the batch
 // HTTP endpoint exists to expose.
 func (x *Index) ReachableBatch(pairs []Pair) []bool {
-	if x.comp == nil {
-		if x.bidx != nil {
-			return x.bidx.ReachableBatch(pairs)
+	if x.comp != nil {
+		mapped := make([]Pair, len(pairs))
+		for i, p := range pairs {
+			mapped[i] = Pair{S: x.vertex(p.S), T: x.vertex(p.T)}
 		}
-		return x.idx.ReachableBatch(pairs)
+		pairs = mapped
 	}
-	// Condensed index: map both endpoints through the component table;
-	// same-component pairs are reachable without consulting labels.
-	res := make([]bool, len(pairs))
-	sub := make([]Pair, 0, len(pairs))
-	subPos := make([]int, 0, len(pairs))
-	for i, p := range pairs {
-		s, t := VertexID(x.comp[p.S]), VertexID(x.comp[p.T])
-		if s == t {
-			res[i] = true
-			continue
-		}
-		sub = append(sub, Pair{S: s, T: t})
-		subPos = append(subPos, i)
-	}
-	subRes := x.idx.ReachableBatch
-	if x.bidx != nil {
-		subRes = x.bidx.ReachableBatch
-	}
-	for k, ans := range subRes(sub) {
-		res[subPos[k]] = ans
-	}
-	return res
+	return x.idx.ReachableBatch(pairs)
 }
 
 // NumVertices returns the number of vertices the index covers (the
@@ -363,11 +334,9 @@ func (x *Index) Stats() IndexStats {
 		Bytes:        x.idx.SizeBytes(),
 		MaxLabelSize: x.idx.MaxLabelSize(),
 		AvgLabelSize: x.idx.AvgLabelSize(),
+		LabelBudget:  x.idx.Budget(),
 	}
-	if x.bidx != nil {
-		st.LabelBudget = x.bidx.Budget()
-		st.OverflowedIn, st.OverflowedOut = x.bidx.Overflowed()
-	}
+	st.OverflowedIn, st.OverflowedOut = x.idx.Overflowed()
 	return st
 }
 
@@ -379,7 +348,7 @@ const indexEnvelopeMagic = uint64(0x524c49584e564531) // "RLIXNVE1"
 // not serializable: their query path needs the graph, which is not
 // part of the index file format.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	if x.bidx != nil {
+	if x.idx.Budget() > 0 {
 		return 0, errors.New("reachlab: a budgeted index retains its graph and cannot be serialized")
 	}
 	var written int64

@@ -38,6 +38,14 @@ func TestBuildMethodsAgree(t *testing.T) {
 				}
 			}
 		}
+		// Workers: 3 applies to every method but the serial TOL.
+		want := 3
+		if m == MethodTOL {
+			want = 1
+		}
+		if got := idx.BuildStats().Workers; got != want {
+			t.Fatalf("%s: BuildStats().Workers = %d, want %d", m, got, want)
+		}
 		if first == nil {
 			first = idx
 		} else if first.Stats() != idx.Stats() {

@@ -360,7 +360,7 @@ func TestReloadStatsAndErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewQueryHandler(idx)
+		h := NewQueryHandlerOpts(idx, ServeOptions{Obs: DefaultMetrics()})
 		srv := httptest.NewServer(h)
 		defer srv.Close()
 		resp, err := srv.Client().Post(srv.URL+"/admin/reload", "application/json", nil)

@@ -167,20 +167,10 @@ const EpochHeader = "X-Reachlab-Epoch"
 // so fleet probes learn the ID space without a /stats round trip.
 const VerticesHeader = "X-Reachlab-Vertices"
 
-// NewQueryHandler returns an http.Handler serving queries from idx,
-// reporting to the process-wide default registry.
-func NewQueryHandler(idx *Index) *QueryHandler {
-	return NewQueryHandlerOpts(idx, ServeOptions{Obs: obs.Default})
-}
-
-// NewQueryHandlerObs is NewQueryHandler reporting to reg (nil disables
+// NewQueryHandlerOpts returns an http.Handler serving queries from
+// idx, configured by opts: cache size, batch and join caps, reload
+// loader, and metrics registry (a nil opts.Obs disables
 // instrumentation; /metrics and /trace then serve empty documents).
-func NewQueryHandlerObs(idx *Index, reg *obs.Registry) *QueryHandler {
-	return NewQueryHandlerOpts(idx, ServeOptions{Obs: reg})
-}
-
-// NewQueryHandlerOpts is the fully configurable constructor: cache
-// size, batch cap, reload loader, and metrics registry.
 func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
 	shards := opts.CacheShards
 	if shards <= 0 {

@@ -29,7 +29,7 @@ func testIndex(t *testing.T) *Index {
 }
 
 func TestQueryHandlerReach(t *testing.T) {
-	srv := httptest.NewServer(NewQueryHandler(testIndex(t)))
+	srv := httptest.NewServer(NewQueryHandlerOpts(testIndex(t), ServeOptions{Obs: DefaultMetrics()}))
 	defer srv.Close()
 
 	cases := []struct {
@@ -59,7 +59,7 @@ func TestQueryHandlerReach(t *testing.T) {
 }
 
 func TestQueryHandlerErrors(t *testing.T) {
-	srv := httptest.NewServer(NewQueryHandler(testIndex(t)))
+	srv := httptest.NewServer(NewQueryHandlerOpts(testIndex(t), ServeOptions{Obs: DefaultMetrics()}))
 	defer srv.Close()
 	for _, url := range []string{
 		"/reach",           // missing params
@@ -80,7 +80,7 @@ func TestQueryHandlerErrors(t *testing.T) {
 }
 
 func TestQueryHandlerStatsAndHealth(t *testing.T) {
-	srv := httptest.NewServer(NewQueryHandler(testIndex(t)))
+	srv := httptest.NewServer(NewQueryHandlerOpts(testIndex(t), ServeOptions{Obs: DefaultMetrics()}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -156,7 +156,7 @@ func TestStatsExposeFaultCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandler(idx))
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{Obs: DefaultMetrics()}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -193,7 +193,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandlerObs(idx, reg))
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{Obs: reg}))
 	defer srv.Close()
 
 	// One good query, one rejected query, one stats call.
@@ -243,7 +243,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandlerObs(idx, reg))
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{Obs: reg}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/trace")
 	if err != nil {
@@ -281,7 +281,7 @@ func TestStatsDiskLoadedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandlerObs(loaded, NewMetricsRegistry()))
+	srv := httptest.NewServer(NewQueryHandlerOpts(loaded, ServeOptions{Obs: NewMetricsRegistry()}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {

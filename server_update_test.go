@@ -35,7 +35,7 @@ func newUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions) (*QueryHandler
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewQueryHandlerObs(u.Snapshot(), nil)
+	h := NewQueryHandlerOpts(u.Snapshot(), ServeOptions{})
 	h.EnableUpdates(u)
 	u.Start(h)
 	t.Cleanup(u.Close)
@@ -174,7 +174,7 @@ func TestUpdaterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewQueryHandlerObs(u.Snapshot(), nil)
+	h := NewQueryHandlerOpts(u.Snapshot(), ServeOptions{})
 	h.EnableUpdates(u)
 	u.Start(h)
 	if _, _, err := u.Apply(true, 9, 0); err != nil {
@@ -246,7 +246,7 @@ func TestUpdaterRejects(t *testing.T) {
 		t.Fatalf("rejected requests reached the log: seq %d", log.LastSeq())
 	}
 	// A handler without an updater refuses mutations.
-	plain := httptest.NewServer(NewQueryHandlerObs(h.Index(), nil))
+	plain := httptest.NewServer(NewQueryHandlerOpts(h.Index(), ServeOptions{}))
 	defer plain.Close()
 	resp, err := http.Post(plain.URL+"/edges", "application/json",
 		bytes.NewReader([]byte(`{"op":"insert","u":0,"v":1}`)))
